@@ -902,12 +902,14 @@ pub fn e16_solution_space(scale: Scale) -> String {
             format!("{best:.0}"),
             format!("{worst:.0}"),
             format!("{:.2}x", worst / best.max(1.0)),
+            if analysis.stats.capped { "yes" } else { "no" }.to_string(),
         ]);
     }
     format!(
         "E16 — the placement solution space (§1, §4)\n\n{}\n\
          The cost spread is the price of picking a placement blindly instead\n\
-         of letting the tool rank them.\n",
+         of letting the tool rank them. A capped row ranked only the first\n\
+         {} mappings the search found (`SearchOptions::max_solutions`).\n",
         table(
             &[
                 "program",
@@ -917,10 +919,12 @@ pub fn e16_solution_space(scale: Scale) -> String {
                 "backtracks",
                 "best cost",
                 "worst cost",
-                "spread"
+                "spread",
+                "capped"
             ],
             &rows
-        )
+        ),
+        SearchOptions::default().max_solutions
     )
 }
 

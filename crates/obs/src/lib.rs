@@ -152,8 +152,11 @@ pub mod keys {
     /// Counter: distinct placements kept after fingerprint dedup.
     pub const SEARCH_SOLUTIONS: &str = "search.solutions";
     /// Counter: solutions pruned — mappings whose placement duplicated
-    /// a cheaper representative's fingerprint.
+    /// an earlier mapping's fingerprint.
     pub const SEARCH_PRUNED: &str = "search.pruned";
+    /// Counter: placement searches stopped by the `max_solutions` cap
+    /// (more mappings existed than were ranked).
+    pub const SEARCH_CAPPED: &str = "search.capped";
     /// Span: one full placement enumeration.
     pub const SEARCH_SPAN: &str = "search.enumerate";
     /// Counter: requests accepted by the placement server (every
@@ -284,6 +287,7 @@ pub mod keys {
         SEARCH_BACKTRACKS,
         SEARCH_SOLUTIONS,
         SEARCH_PRUNED,
+        SEARCH_CAPPED,
         SEARCH_SPAN,
         SERVER_REQUESTS,
         SERVER_SHED,

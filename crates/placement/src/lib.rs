@@ -20,17 +20,27 @@
 //!    sketch ([`propagate`]) and the iterative, trail-based version
 //!    the paper says its implementation uses ([`search`]) are
 //!    provided, and they enumerate the same solutions.
-//! 3. **Extracts the concrete placement** from each mapping
-//!    ([`solution`]): the `C$SYNCHRONIZE` communication sites (one per
-//!    variable × dominating insertion point) and the
+//! 3. **Extracts the concrete placement** from each distinct
+//!    placement ([`solution`]): the `C$SYNCHRONIZE` communication
+//!    sites (one per variable × dominating insertion point) and the
 //!    `C$ITERATION DOMAIN` (kernel/overlap) of every partitioned loop
 //!    — exactly the two outputs §4 names ("from M_a we shall get the
 //!    places where to set communications, and from M_n … the precise
-//!    iteration domain of each partitioned loop").
+//!    iteration domain of each partitioned loop"). Many mappings
+//!    differ only in the states of internal nodes and so place the
+//!    same communications; they are deduplicated by a placement key
+//!    (per-arrow communication kinds plus `Def`-node states) *before*
+//!    extraction, and the survivors are extracted against one
+//!    position graph built per analysis.
 //! 4. **Ranks the solutions** with a cost model ([`cost`]): the paper
 //!    observes that several placements exist (Figs. 9–10) and that
 //!    "performance depends on this choice" — grouped communication
-//!    phases versus kernel-restricted iteration domains.
+//!    phases versus kernel-restricted iteration domains. Each
+//!    survivor's fingerprint is computed once; the first mapping of
+//!    each fingerprint (in enumeration order) is kept and the list is
+//!    sorted by `(score, fingerprint)`, which yields the same ranked
+//!    list as extracting every mapping and deduplicating after the
+//!    sort (DESIGN.md §5.4).
 //! 5. **Checks a given placement** in simulation mode ([`checker`],
 //!    §5.2): verify that a proposed set of communication-carrying
 //!    dependences admits a consistent mapping — the "test mode" the
@@ -53,6 +63,8 @@ pub use legality::{check_legality, LegalityError, LegalityReport};
 pub use search::{enumerate, SearchOptions, SearchStats};
 pub use solution::{CommSite, InsertionPoint, IterationDomain, Mapping, Solution};
 
+use solution::PlacementKey;
+use std::collections::HashSet;
 use syncplace_automata::OverlapAutomaton;
 use syncplace_dfg::Dfg;
 use syncplace_ir::Program;
@@ -84,8 +96,9 @@ pub fn analyze(
 
 /// [`analyze`] with an observability hook: a span around the
 /// backtracking enumeration plus `search.*` counters — automaton
-/// nodes visited, backtracks taken, distinct placements kept, and
-/// duplicate mappings pruned by the fingerprint dedupe.
+/// nodes visited, backtracks taken, distinct placements kept,
+/// duplicate mappings pruned by the dedupe, and whether the
+/// `max_solutions` cap stopped the enumeration.
 pub fn analyze_recorded(
     prog: &Program,
     dfg: &Dfg,
@@ -105,33 +118,44 @@ pub fn analyze_recorded(
     let t0 = obs::start(rec);
     let (mappings, stats) = enumerate(dfg, automaton, options);
     obs::finish(rec, keys::SEARCH_SPAN, t0);
-    let mut solutions: Vec<Solution> = mappings
-        .into_iter()
-        .map(|m| solution::extract(prog, dfg, automaton, m))
-        .collect();
-    for s in &mut solutions {
-        s.cost = cost::evaluate(prog, dfg, s, cost);
+    let n_mappings = mappings.len();
+    // Mappings differing only in internal state choices produce the
+    // same placement: extract only the first mapping of each placement
+    // key, then keep the first of each fingerprint. The score is a
+    // function of the fingerprint, so this keeps the representative a
+    // stable sort of every mapping followed by a dedupe would keep
+    // (DESIGN.md §5.4).
+    let pos_graph = solution::build_pos_graph(prog, dfg);
+    let mut keys_seen = HashSet::new();
+    let mut fingerprints_seen = HashSet::new();
+    let mut ranked: Vec<(String, Solution)> = Vec::new();
+    for m in mappings {
+        if !keys_seen.insert(PlacementKey::of(dfg, &m)) {
+            continue;
+        }
+        let mut s = solution::extract_with(prog, dfg, automaton, &pos_graph, m);
+        let fingerprint = s.fingerprint();
+        if fingerprints_seen.insert(fingerprint.clone()) {
+            s.cost = cost::evaluate(prog, dfg, &s, cost);
+            ranked.push((fingerprint, s));
+        }
     }
-    solutions.sort_by(|a, b| {
+    ranked.sort_by(|(fa, a), (fb, b)| {
         a.cost
             .score
             .partial_cmp(&b.cost.score)
             .unwrap()
-            .then_with(|| a.fingerprint().cmp(&b.fingerprint()))
+            .then_with(|| fa.cmp(fb))
     });
-    // Mappings differing only in internal state choices produce the
-    // same placement; keep the cheapest representative of each.
-    let before_dedupe = solutions.len();
-    let mut seen = std::collections::HashSet::new();
-    solutions.retain(|s| seen.insert(s.fingerprint()));
+    let solutions: Vec<Solution> = ranked.into_iter().map(|(_, s)| s).collect();
     if let Some(r) = rec {
         r.add(keys::SEARCH_VISITS, stats.visits);
         r.add(keys::SEARCH_BACKTRACKS, stats.backtracks);
         r.add(keys::SEARCH_SOLUTIONS, solutions.len() as u64);
-        r.add(
-            keys::SEARCH_PRUNED,
-            (before_dedupe - solutions.len()) as u64,
-        );
+        r.add(keys::SEARCH_PRUNED, (n_mappings - solutions.len()) as u64);
+        if stats.capped {
+            r.add(keys::SEARCH_CAPPED, 1);
+        }
     }
     Analysis {
         legality,

@@ -13,7 +13,8 @@ use syncplace_dfg::{DefClass, Dfg, NodeKind};
 /// Search options.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
-    /// Stop after this many complete mappings.
+    /// Return at most this many complete mappings; a search that
+    /// found more reports [`SearchStats::capped`].
     pub max_solutions: usize,
     /// Abort (truncated = true) after this many propagation steps.
     pub max_visits: u64,
@@ -47,7 +48,7 @@ impl Default for SearchOptions {
 }
 
 /// Search statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Propagation steps (arrow crossings attempted).
     pub visits: u64,
@@ -55,8 +56,12 @@ pub struct SearchStats {
     pub backtracks: u64,
     /// Number of complete mappings emitted.
     pub solutions: usize,
-    /// True when a limit stopped the search early.
+    /// True when the visit budget stopped the search early.
     pub truncated: bool,
+    /// True when more than `max_solutions` mappings exist: the list
+    /// holds the first `max_solutions` of them in enumeration order,
+    /// and any ranking over it did not see every candidate.
+    pub capped: bool,
     /// Largest share of [`SearchStats::visits`] done by any one worker
     /// (equals `visits` in the sequential search). The load-balance
     /// figure `visits / max_worker_visits` is the modeled parallel
@@ -81,13 +86,20 @@ pub fn enumerate(
     }
     let pre = Precomp::build(dfg, automaton);
     let mut s = seeded_search(dfg, automaton, opts, pre);
+    // One mapping past the cap tells a capped search from one that
+    // ended exactly at it.
+    s.limit = opts.max_solutions.saturating_add(1);
     s.go();
+    let mut solutions = s.solutions;
+    let capped = solutions.len() > opts.max_solutions;
+    solutions.truncate(opts.max_solutions);
     let stats = SearchStats {
-        solutions: s.solutions.len(),
+        solutions: solutions.len(),
+        capped,
         max_worker_visits: s.stats.visits,
         ..s.stats
     };
-    (s.solutions, stats)
+    (solutions, stats)
 }
 
 /// Work-steal the enumeration across `opts.workers` threads.
@@ -113,7 +125,7 @@ pub fn enumerate(
 /// Limits: `max_visits` bounds each task's subtree walk (the merged
 /// `truncated` flag is the OR), and `max_solutions` is applied to the
 /// merged list, which truncates to the same prefix the sequential
-/// search would have produced.
+/// search would have produced and sets `capped` exactly when it does.
 pub fn enumerate_parallel(
     dfg: &Dfg,
     automaton: &OverlapAutomaton,
@@ -184,6 +196,7 @@ pub fn enumerate_parallel(
     }
     all.sort_by(|a, b| a.0.cmp(&b.0));
     let mut solutions: Vec<Mapping> = all.into_iter().map(|(_, m)| m).collect();
+    stats.capped = solutions.len() > opts.max_solutions;
     solutions.truncate(opts.max_solutions);
     stats.solutions = solutions.len();
     (solutions, stats)
@@ -279,6 +292,7 @@ struct Precomp {
     shapes: Vec<syncplace_automata::Shape>,
     arrow_is_array: Vec<bool>,
     sca1_def_ok: Vec<bool>,
+    has_in: Vec<bool>,
 }
 
 impl Precomp {
@@ -330,6 +344,13 @@ impl Precomp {
 
         let sca1_def_ok: Vec<bool> = (0..n).map(|i| sca1_def_allowed(dfg, i)).collect();
 
+        let mut has_in = vec![false; n];
+        for (a, class) in dfg.arrows.iter().zip(&classes) {
+            if class.is_some() {
+                has_in[a.to] = true;
+            }
+        }
+
         Precomp {
             required,
             out_prop,
@@ -337,6 +358,7 @@ impl Precomp {
             shapes,
             arrow_is_array,
             sca1_def_ok,
+            has_in,
         }
     }
 }
@@ -361,6 +383,8 @@ fn seeded_search<'a>(
         shapes: pre.shapes,
         arrow_is_array: pre.arrow_is_array,
         sca1_def_ok: pre.sca1_def_ok,
+        has_in: pre.has_in,
+        limit: opts.max_solutions,
         node_state: vec![None; n],
         arrow_trans: vec![None; na],
         obligations: Vec::new(),
@@ -442,6 +466,10 @@ struct Search<'a> {
     arrow_is_array: Vec<bool>,
     /// May this node take the `Sca1` state (reduction defs only)?
     sca1_def_ok: Vec<bool>,
+    /// Does this node have an incoming propagation arrow?
+    has_in: Vec<bool>,
+    /// Stop once this many mappings are found.
+    limit: usize,
     node_state: Vec<Option<State>>,
     arrow_trans: Vec<Option<Transition>>,
     obligations: Vec<usize>,
@@ -469,8 +497,7 @@ type TaggedSolution = (Vec<u32>, Mapping);
 
 impl<'a> Search<'a> {
     fn done(&self) -> bool {
-        self.stats.truncated
-            || self.solutions.len().max(self.tagged.len()) >= self.opts.max_solutions
+        self.stats.truncated || self.solutions.len().max(self.tagged.len()) >= self.limit
     }
 
     /// Is transition `t` admissible on arrow `arrow`?
@@ -742,14 +769,8 @@ impl<'a> Search<'a> {
     /// incoming propagation arrows), else break a cycle at the lowest
     /// unassigned node.
     fn next_unassigned(&self) -> Option<usize> {
-        let mut has_in = vec![false; self.dfg.nodes.len()];
-        for (i, a) in self.dfg.arrows.iter().enumerate() {
-            if self.classes[i].is_some() {
-                has_in[a.to] = true;
-            }
-        }
         let mut fallback = None;
-        for (i, &hin) in has_in.iter().enumerate() {
+        for (i, &hin) in self.has_in.iter().enumerate() {
             if self.node_state[i].is_some() {
                 continue;
             }
@@ -948,6 +969,7 @@ mod tests {
         assert_eq!(capped.len(), 3.min(full.len()));
         assert_eq!(capped[..], full[..capped.len()]);
         assert_eq!(stats.solutions, capped.len());
+        assert_eq!(stats.capped, full.len() > 3);
     }
 
     #[test]
@@ -999,5 +1021,42 @@ mod tests {
         };
         let (sols, _) = enumerate(&dfg, &fig6(), &opts);
         assert_eq!(sols.len(), 2);
+    }
+
+    #[test]
+    fn solution_cap_is_reported_at_any_worker_count() {
+        let p = programs::testiv();
+        let dfg = syncplace_dfg::build(&p);
+        let (full, st) = enumerate(&dfg, &fig6(), &SearchOptions::default());
+        assert!(!st.capped && full.len() > 2);
+        for workers in [1, 4] {
+            let opts = SearchOptions {
+                max_solutions: 2,
+                workers,
+                ..Default::default()
+            };
+            let (sols, stats) = enumerate(&dfg, &fig6(), &opts);
+            assert_eq!(sols[..], full[..2], "{workers} workers");
+            assert_eq!(stats.solutions, 2);
+            assert!(stats.capped, "{workers} workers: cap not reported");
+            assert!(!stats.truncated);
+        }
+    }
+
+    #[test]
+    fn a_cap_equal_to_the_count_is_not_capped() {
+        let p = programs::testiv();
+        let dfg = syncplace_dfg::build(&p);
+        let (full, _) = enumerate(&dfg, &fig6(), &SearchOptions::default());
+        for workers in [1, 4] {
+            let opts = SearchOptions {
+                max_solutions: full.len(),
+                workers,
+                ..Default::default()
+            };
+            let (sols, stats) = enumerate(&dfg, &fig6(), &opts);
+            assert_eq!(sols, full);
+            assert!(!stats.capped, "{workers} workers");
+        }
     }
 }

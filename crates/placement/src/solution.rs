@@ -18,6 +18,7 @@
 use crate::arrowclass::shape_of;
 use std::collections::HashMap;
 use syncplace_automata::{CommKind, OverlapAutomaton, State, Transition};
+use syncplace_dfg::ops::OpKind;
 use syncplace_dfg::{Dfg, NodeKind};
 use syncplace_ir::{Program, Stmt, StmtId, VarId};
 
@@ -28,6 +29,39 @@ pub struct Mapping {
     pub node_state: Vec<State>,
     /// Indexed like `dfg.arrows`; `None` for anti/output arrows.
     pub arrow_transition: Vec<Option<Transition>>,
+}
+
+/// What a mapping contributes to its extracted placement: the
+/// communication kind crossed on every arrow (`None` for a plain
+/// transition or an unmapped arrow) and the state of every `Def` node.
+/// [`extract`] reads nothing else of the mapping — communication sites
+/// come from the arrows' kinds, iteration domains from the definition
+/// states — so two mappings with equal keys extract to the same
+/// `comm_sites` and `domains` and differ only in `Solution::mapping`.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub(crate) struct PlacementKey {
+    comms: Vec<Option<CommKind>>,
+    def_states: Vec<State>,
+}
+
+impl PlacementKey {
+    /// The key of `mapping` over `dfg`.
+    pub(crate) fn of(dfg: &Dfg, mapping: &Mapping) -> PlacementKey {
+        PlacementKey {
+            comms: mapping
+                .arrow_transition
+                .iter()
+                .map(|t| t.and_then(|t| t.comm))
+                .collect(),
+            def_states: dfg
+                .nodes
+                .iter()
+                .zip(&mapping.node_state)
+                .filter(|(n, _)| matches!(n.kind, NodeKind::Def { .. }))
+                .map(|(_, &st)| st)
+                .collect(),
+        }
+    }
 }
 
 /// Where a communication call is inserted.
@@ -178,7 +212,7 @@ pub fn build_pos_graph(prog: &Program, dfg: &Dfg) -> PosGraph {
     // `pending`: graph node ids whose fall-through successor is next.
     let mut pending: Vec<usize> = Vec::new();
     lower(
-        prog,
+        dfg,
         &prog.body,
         &mut g,
         &mut op_counter,
@@ -208,7 +242,7 @@ fn connect(g: &mut PosGraph, pending: &mut Vec<usize>, target: usize) {
 }
 
 fn lower(
-    prog: &Program,
+    dfg: &Dfg,
     stmts: &[Stmt],
     g: &mut PosGraph,
     op_counter: &mut usize,
@@ -253,7 +287,7 @@ fn lower(
                 let first_new = g.nops + g.positions.len();
                 let mut body_pending: Vec<usize> = std::mem::take(pending);
                 let ops_before = *op_counter;
-                lower(prog, &t.body, g, op_counter, &mut body_pending, true);
+                lower(dfg, &t.body, g, op_counter, &mut body_pending, true);
                 // Back edge: body fall-through re-enters the first body
                 // element (the position before the first body stmt).
                 if g.nops + g.positions.len() > first_new || *op_counter > ops_before {
@@ -266,7 +300,8 @@ fn lower(
                 // Loop exits: fall-through (cap) + every exit-test op.
                 *pending = body_pending;
                 for op in ops_before..*op_counter {
-                    if dfg_op_is_exit(prog, op) && !pending.contains(&op) {
+                    let is_exit = matches!(dfg.flat.ops[op].kind, OpKind::Exit(_));
+                    if is_exit && !pending.contains(&op) {
                         pending.push(op);
                     }
                 }
@@ -275,44 +310,6 @@ fn lower(
     }
     // Entering the next statement is handled at loop top; leftover
     // `pending` flows to the caller.
-    let _ = prog;
-}
-
-/// Is flattened op `op` an exit test? (Recomputed from the program to
-/// avoid carrying the Dfg into the walk; ids align with `flatten`.)
-fn dfg_op_is_exit(prog: &Program, op: usize) -> bool {
-    // Walk the program in flatten order counting ops.
-    fn walk(stmts: &[Stmt], counter: &mut usize, target: usize, found: &mut bool) {
-        for s in stmts {
-            match s {
-                Stmt::Assign(_) => {
-                    if *counter == target {
-                        *found = false;
-                    }
-                    *counter += 1;
-                }
-                Stmt::Loop(l) => {
-                    for _ in &l.body {
-                        if *counter == target {
-                            *found = false;
-                        }
-                        *counter += 1;
-                    }
-                }
-                Stmt::ExitIf(_) => {
-                    if *counter == target {
-                        *found = true;
-                    }
-                    *counter += 1;
-                }
-                Stmt::TimeLoop(t) => walk(&t.body, counter, target, found),
-            }
-        }
-    }
-    let mut counter = 0;
-    let mut found = false;
-    walk(&prog.body, &mut counter, op, &mut found);
-    found
 }
 
 // ---------------------------------------------------------------------------
@@ -326,8 +323,19 @@ pub fn extract(
     automaton: &OverlapAutomaton,
     mapping: Mapping,
 ) -> Solution {
-    let pos_graph = build_pos_graph(prog, dfg);
+    extract_with(prog, dfg, automaton, &build_pos_graph(prog, dfg), mapping)
+}
 
+/// [`extract`] against a prebuilt position graph — the graph depends on
+/// the program alone, so a caller extracting many mappings builds it
+/// once with [`build_pos_graph`].
+pub fn extract_with(
+    prog: &Program,
+    dfg: &Dfg,
+    automaton: &OverlapAutomaton,
+    pos_graph: &PosGraph,
+    mapping: Mapping,
+) -> Solution {
     // --- group Update-crossing arrows by (variable, comm kind) -------------
     #[derive(Default)]
     struct Group {
@@ -388,23 +396,15 @@ pub fn extract(
             // Program exit: the AtEnd position node.
             targets.push(pos_graph.pos_node(pos_graph.positions.len() - 1));
         }
-        // Latest valid position. When the only destination is the
-        // program exit itself, the AtEnd position cannot intercept its
-        // own node, so handle that case directly.
-        let mut chosen: Option<usize> = None;
+        // Latest valid position, so scan from the end. When the only
+        // destination is the program exit itself, the AtEnd position
+        // cannot intercept its own node, so handle that case directly.
         let n_positions = pos_graph.positions.len();
-        for p in 0..n_positions {
+        let output_only = targets == [pos_graph.pos_node(n_positions - 1)];
+        let chosen = (0..n_positions).rev().find(|&p| {
             // AtEnd intercepts output-only groups by construction.
-            let valid =
-                if targets == vec![pos_graph.pos_node(n_positions - 1)] && p == n_positions - 1 {
-                    true
-                } else {
-                    pos_graph.intercepts(p, &g.def_ops, &targets)
-                };
-            if valid {
-                chosen = Some(p); // keep scanning: latest wins
-            }
-        }
+            (output_only && p == n_positions - 1) || pos_graph.intercepts(p, &g.def_ops, &targets)
+        });
         match chosen {
             Some(p) => comm_sites.push(CommSite {
                 kind,

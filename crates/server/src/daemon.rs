@@ -186,7 +186,7 @@ fn handle_connection(
             continue;
         }
         let reply_done = match protocol::parse_request(trimmed) {
-            Err(e) => write_line(&mut writer, &protocol::render_error("bad-request", &e)),
+            Err(e) => write_line(&mut writer, &e.render()),
             Ok(Request::Ping) => {
                 service.note_verb("ping");
                 write_line(&mut writer, &service.stats().render_pong())

@@ -55,7 +55,7 @@ pub use cache::{CacheStats, Lookup, LruCache};
 pub use client::Client;
 pub use daemon::{Daemon, DaemonHandle};
 pub use flight::{FlightEvent, FlightRecorder, RequestSpan};
-pub use protocol::{MeshSpec, ProgramSpec, Request, RunRequest};
+pub use protocol::{BadRequest, MeshSpec, ProgramSpec, Request, RunRequest};
 pub use service::{
     RunOutcome, ServeError, Service, ServiceConfig, ServiceStats, ShedReason, METRIC_KEYS,
 };

@@ -100,19 +100,62 @@ pub enum Request {
     Shutdown,
 }
 
+/// Why a request line was refused: a `bad-request` error naming the
+/// offending field (dotted, e.g. `mesh.perturb`) when one field is to
+/// blame.
+#[derive(Debug)]
+pub struct BadRequest {
+    /// The field at fault, or `None` for a whole-line problem (bad
+    /// JSON, missing `op`).
+    pub field: Option<String>,
+    /// Human-readable detail.
+    pub detail: String,
+}
+
+impl BadRequest {
+    fn at(field: &str, detail: impl Into<String>) -> BadRequest {
+        BadRequest {
+            field: Some(field.to_string()),
+            detail: detail.into(),
+        }
+    }
+
+    fn line(detail: impl Into<String>) -> BadRequest {
+        BadRequest {
+            field: None,
+            detail: detail.into(),
+        }
+    }
+
+    /// Render as the terminal `error` event (code `bad-request`, plus
+    /// `field` when one is named).
+    pub fn render(&self) -> String {
+        let field = match &self.field {
+            Some(f) => format!(",\"field\":{}", json_escape(f)),
+            None => String::new(),
+        };
+        format!(
+            "{{\"event\":\"error\",\"code\":\"bad-request\"{field},\"detail\":{}}}",
+            json_escape(&self.detail)
+        )
+    }
+}
+
 /// Parse one request line. Unknown fields are rejected (they are
 /// always a client bug — typically a misspelled option silently
-/// falling back to a default).
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+/// falling back to a default). Values the mesh generator would refuse
+/// are rejected here too, so they cost a `bad-request` reply and not a
+/// panicked handler.
+pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
+    let v = json::parse(line).map_err(|e| BadRequest::line(format!("bad JSON: {e}")))?;
     let obj = match &v {
         Value::Obj(m) => m,
-        _ => return Err("request must be a JSON object".into()),
+        _ => return Err(BadRequest::line("request must be a JSON object")),
     };
     let op = v
         .get("op")
         .and_then(Value::as_str)
-        .ok_or("missing string field 'op'")?;
+        .ok_or_else(|| BadRequest::at("op", "missing string field 'op'"))?;
     match op {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
@@ -124,18 +167,28 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     k.as_str(),
                     "op" | "program" | "source" | "mesh" | "pattern" | "p" | "engine" | "diag"
                 ) {
-                    return Err(format!("unknown field '{k}'"));
+                    return Err(BadRequest::at(k, format!("unknown field '{k}'")));
                 }
             }
             let program = match (v.get("program"), v.get("source")) {
                 (Some(p), None) => ProgramSpec::Builtin(
-                    p.as_str().ok_or("'program' must be a string")?.to_string(),
+                    p.as_str()
+                        .ok_or_else(|| BadRequest::at("program", "'program' must be a string"))?
+                        .to_string(),
                 ),
-                (None, Some(s)) => {
-                    ProgramSpec::Source(s.as_str().ok_or("'source' must be a string")?.to_string())
+                (None, Some(s)) => ProgramSpec::Source(
+                    s.as_str()
+                        .ok_or_else(|| BadRequest::at("source", "'source' must be a string"))?
+                        .to_string(),
+                ),
+                (Some(_), Some(_)) => {
+                    return Err(BadRequest::line("give 'program' or 'source', not both"))
                 }
-                (Some(_), Some(_)) => return Err("give 'program' or 'source', not both".into()),
-                (None, None) => return Err("missing 'program' (builtin name) or 'source'".into()),
+                (None, None) => {
+                    return Err(BadRequest::line(
+                        "missing 'program' (builtin name) or 'source'",
+                    ))
+                }
             };
             let mesh = match v.get("mesh") {
                 None => MeshSpec::default(),
@@ -143,26 +196,31 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             };
             let pattern = match v.get("pattern") {
                 None => Pattern::FIG1,
-                Some(p) => parse_pattern(p.as_str().ok_or("'pattern' must be a string")?)?,
+                Some(p) => p
+                    .as_str()
+                    .ok_or("'pattern' must be a string".to_string())
+                    .and_then(parse_pattern)
+                    .map_err(|e| BadRequest::at("pattern", e))?,
             };
             let p = match v.get("p") {
                 None => 4,
-                Some(n) => {
-                    let p = n.as_usize().ok_or("'p' must be a non-negative integer")?;
-                    if p == 0 || p > 512 {
-                        return Err("'p' must be in 1..=512".into());
-                    }
-                    p
-                }
+                Some(n) => match n.as_usize() {
+                    Some(p) if (1..=512).contains(&p) => p,
+                    _ => return Err(BadRequest::at("p", "'p' must be an integer in 1..=512")),
+                },
             };
             let engine = match v.get("engine") {
                 None => Engine::Batched,
-                Some(e) => parse_engine(e.as_str().ok_or("'engine' must be a string")?)?,
+                Some(e) => e
+                    .as_str()
+                    .ok_or("'engine' must be a string".to_string())
+                    .and_then(parse_engine)
+                    .map_err(|e| BadRequest::at("engine", e))?,
             };
             let diag = match v.get("diag") {
                 None => false,
                 Some(Value::Bool(b)) => *b,
-                Some(_) => return Err("'diag' must be a boolean".into()),
+                Some(_) => return Err(BadRequest::at("diag", "'diag' must be a boolean")),
             };
             Ok(Request::Run(Box::new(RunRequest {
                 program,
@@ -173,25 +231,22 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 diag,
             })))
         }
-        other => Err(format!("unknown op '{other}'")),
+        other => Err(BadRequest::at("op", format!("unknown op '{other}'"))),
     }
 }
 
-fn parse_mesh(m: &Value) -> Result<MeshSpec, String> {
+fn parse_mesh(m: &Value) -> Result<MeshSpec, BadRequest> {
     let d = MeshSpec::default();
-    let dim = |k: &str, dv: usize| -> Result<usize, String> {
+    let dim = |k: &str, dv: usize| -> Result<usize, BadRequest> {
         match m.get(k) {
             None => Ok(dv),
-            Some(n) => {
-                let n = n
-                    .as_usize()
-                    .ok_or(format!("mesh '{k}' must be a non-negative integer"))?;
-                if (2..=4096).contains(&n) {
-                    Ok(n)
-                } else {
-                    Err(format!("mesh '{k}' must be in 2..=4096"))
-                }
-            }
+            Some(n) => match n.as_usize() {
+                Some(n) if (2..=4096).contains(&n) => Ok(n),
+                _ => Err(BadRequest::at(
+                    &format!("mesh.{k}"),
+                    format!("mesh '{k}' must be an integer in 2..=4096"),
+                )),
+            },
         }
     };
     Ok(MeshSpec {
@@ -199,11 +254,23 @@ fn parse_mesh(m: &Value) -> Result<MeshSpec, String> {
         ny: dim("ny", d.ny)?,
         perturb: match m.get("perturb") {
             None => d.perturb,
-            Some(n) => n.as_f64().ok_or("mesh 'perturb' must be a number")?,
+            // Larger amplitudes could invert triangles; the mesh
+            // generator refuses them.
+            Some(n) => match n.as_f64() {
+                Some(x) if (0.0..0.5).contains(&x) => x,
+                _ => {
+                    return Err(BadRequest::at(
+                        "mesh.perturb",
+                        "mesh 'perturb' must be a finite number in [0, 0.5)",
+                    ))
+                }
+            },
         },
         seed: match m.get("seed") {
             None => d.seed,
-            Some(n) => n.as_usize().ok_or("mesh 'seed' must be a non-negative integer")? as u64,
+            Some(n) => n.as_usize().ok_or_else(|| {
+                BadRequest::at("mesh.seed", "mesh 'seed' must be a non-negative integer")
+            })? as u64,
         },
     })
 }
@@ -227,8 +294,9 @@ fn parse_engine(s: &str) -> Result<Engine, String> {
         })
 }
 
-/// Render the terminal `result` event.
-#[allow(clippy::too_many_arguments)]
+/// Render the terminal `result` event. `capped` says the placement
+/// search stopped at its `max_solutions` cap, so the executed
+/// placement is the best of the mappings it saw, not of all of them.
 pub fn render_result(
     iterations: usize,
     phases: usize,
@@ -236,11 +304,12 @@ pub fn render_result(
     values: usize,
     run_ms: f64,
     checksum: u64,
+    capped: bool,
 ) -> String {
     format!(
         "{{\"event\":\"result\",\"iterations\":{iterations},\"phases\":{phases},\
          \"messages\":{messages},\"values\":{values},\"run_ms\":{run_ms:.3},\
-         \"checksum\":\"{checksum:016x}\"}}"
+         \"checksum\":\"{checksum:016x}\",\"capped\":{capped}}}"
     )
 }
 
@@ -264,7 +333,8 @@ pub fn render_diag(
 
 /// Render a terminal `error` event. `code` is a stable machine-readable
 /// tag: `busy` (shed by admission control — retry later), `bad-request`
-/// (malformed line), `invalid` (the program/placement/run failed).
+/// (malformed line; [`BadRequest::render`] adds the field), `invalid`
+/// (the program/placement/run failed).
 pub fn render_error(code: &str, detail: &str) -> String {
     format!(
         "{{\"event\":\"error\",\"code\":{},\"detail\":{}}}",
@@ -343,6 +413,24 @@ mod tests {
     }
 
     #[test]
+    fn perturb_outside_the_generator_range_names_its_field() {
+        for bad in ["0.7", "0.5", "-0.1", "1e999", "-1e999"] {
+            let line =
+                format!("{{\"op\":\"run\",\"program\":\"x\",\"mesh\":{{\"perturb\":{bad}}}}}");
+            let err = parse_request(&line).expect_err(&line);
+            assert_eq!(err.field.as_deref(), Some("mesh.perturb"), "{line}");
+            let v = syncplace::obs::json::parse(&err.render()).unwrap();
+            assert_eq!(v.get("code").unwrap().as_str(), Some("bad-request"));
+            assert_eq!(v.get("field").unwrap().as_str(), Some("mesh.perturb"));
+        }
+        for ok in ["0", "0.0", "0.49"] {
+            let line =
+                format!("{{\"op\":\"run\",\"program\":\"x\",\"mesh\":{{\"perturb\":{ok}}}}}");
+            assert!(parse_request(&line).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
     fn ping_and_shutdown_parse() {
         assert_eq!(parse_request("{\"op\":\"ping\"}").unwrap(), Request::Ping);
         assert_eq!(
@@ -372,7 +460,7 @@ mod tests {
     #[test]
     fn rendered_events_are_valid_json() {
         for line in [
-            render_result(3, 2, 10, 100, 1.5, 0xdead_beef),
+            render_result(3, 2, 10, 100, 1.5, 0xdead_beef, false),
             render_diag("hit", "miss", 4, 12.25, None),
             render_diag("miss", "miss", 1, 0.5, Some("{\"counters\":{}}")),
             render_error("busy", "queue full (depth 16)"),

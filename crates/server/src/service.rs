@@ -78,6 +78,7 @@ pub const METRIC_KEYS: &[&str] = &[
     keys::SERVER_PLAN_MISSES,
     keys::SERVER_PLAN_JOINS,
     keys::SERVER_IO_ERROR,
+    keys::SEARCH_CAPPED,
     keys::METRICS_FLIGHT_EVENTS,
     keys::METRICS_FLIGHT_DROPPED,
 ];
@@ -129,6 +130,9 @@ pub struct PlacedProgram {
     pub spmd: SpmdProgram,
     /// How many distinct placements the search found.
     pub n_solutions: usize,
+    /// Did the `max_solutions` cap stop the search (so the solution
+    /// was ranked best among the first mappings only)?
+    pub capped: bool,
     /// The automaton the analysis ran against.
     pub automaton_name: String,
 }
@@ -194,6 +198,8 @@ pub struct RunOutcome {
     pub plan: Lookup,
     /// Distinct placements the (possibly cached) search found.
     pub n_solutions: usize,
+    /// Whether that search was stopped by its `max_solutions` cap.
+    pub capped: bool,
     /// Wall-clock spent resolving placement + plan (≈0 on a hot hit).
     pub compile_ms: f64,
     /// Wall-clock spent executing the engine.
@@ -590,6 +596,9 @@ impl Service {
             .get_or_build(pkey, || place(prog, &automaton))
             .map_err(ServeError::Invalid)?;
         scratch.place = Some(l_place);
+        if l_place == Lookup::Miss && placed.capped {
+            self.emit_add(keys::SEARCH_CAPPED, 1);
+        }
         self.emit_add(
             match l_place {
                 Lookup::Hit => keys::SERVER_PLACE_HITS,
@@ -668,6 +677,7 @@ impl Service {
             placement: l_place,
             plan: l_plan,
             n_solutions: placed.n_solutions,
+            capped: placed.capped,
             compile_ms,
             run_ms,
         })
@@ -736,6 +746,7 @@ fn place(prog: Program, automaton: &OverlapAutomaton) -> Result<PlacedProgram, S
         solution,
         spmd,
         n_solutions: analysis.solutions.len(),
+        capped: analysis.stats.capped,
         automaton_name: automaton.name.clone(),
     })
 }
@@ -842,6 +853,7 @@ pub fn result_line(out: &RunOutcome) -> String {
         out.result.stats.total_values(),
         out.run_ms,
         out.checksum,
+        out.capped,
     )
 }
 

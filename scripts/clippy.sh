@@ -3,7 +3,8 @@
 # benches, examples) must be clippy-clean with warnings denied, the
 # rustdoc build must be warning-free (crates/core, crates/obs,
 # crates/analyze, crates/runtime and crates/server additionally deny
-# missing_docs at compile time), the repo's own static analysis
+# missing_docs at compile time), the unit tests of syncplace-placement
+# and syncplace-server must pass, the repo's own static analysis
 # (`reproduce lint` — independent placement verifier, CommPlan
 # schedule audit, IR lints) must report no error-severity diagnostics,
 # the E21 profiler must complete a quick run end to end (writing its
@@ -22,6 +23,10 @@ set -eu
 cd "$(dirname "$0")/.."
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo clippy --workspace --all-targets -- -D warnings
+# Unit tests of the placement search/extraction/cost modules and of the
+# server protocol; tier-1 (`cargo test` at the root) runs only the
+# root package's integration tests.
+cargo test -q --release -p syncplace-placement -p syncplace-server
 cargo run --release -p syncplace-bench --bin reproduce -- lint --quick
 
 repo_root="$(pwd)"

@@ -455,3 +455,71 @@ fn panic_mid_request_flushes_the_inflight_span() {
     // The ring history (the completed warm-up run) rides along.
     assert!(flushed.contains("\"outcome\":\"ok\""), "{flushed}");
 }
+
+/// A mesh perturbation the generator would refuse (it could invert
+/// triangles) is answered over the socket with a `bad-request` error
+/// naming `mesh.perturb` — not a dropped connection from a panicked
+/// handler — and the same connection is served normally afterwards.
+#[test]
+fn out_of_range_perturb_is_a_bad_request_and_the_daemon_keeps_serving() {
+    let socket = scratch_socket("perturb");
+    let _ = std::fs::remove_file(&socket);
+    let handle = Daemon::spawn(&socket, ServiceConfig::default()).unwrap();
+    let mut client = Client::connect(&socket).unwrap();
+
+    for perturb in ["0.7", "-0.1", "1e999"] {
+        let events = client
+            .request(&format!(
+                "{{\"op\":\"run\",\"program\":\"testiv\",\
+                 \"mesh\":{{\"nx\":8,\"ny\":8,\"perturb\":{perturb}}},\"p\":2}}"
+            ))
+            .unwrap();
+        assert_eq!(events.len(), 1, "perturb {perturb}");
+        assert_eq!(events[0].get("event").unwrap().as_str(), Some("error"));
+        assert_eq!(events[0].get("code").unwrap().as_str(), Some("bad-request"));
+        assert_eq!(
+            events[0].get("field").unwrap().as_str(),
+            Some("mesh.perturb"),
+            "perturb {perturb}"
+        );
+    }
+
+    let events = client
+        .request(
+            "{\"op\":\"run\",\"program\":\"testiv\",\
+             \"mesh\":{\"nx\":8,\"ny\":8,\"perturb\":0.3},\"p\":2}",
+        )
+        .unwrap();
+    assert_eq!(events[0].get("event").unwrap().as_str(), Some("result"));
+    handle.stop().unwrap();
+}
+
+/// A placement search stopped by its `max_solutions` cap says so: the
+/// `result` event carries `"capped":true` and the cold build counts
+/// one `search.capped`; an uncapped search reports `false` and counts
+/// nothing, and cache hits never count again.
+#[test]
+fn a_capped_placement_search_is_reported_in_the_result_and_the_metrics() {
+    let svc = Service::new(ServiceConfig::default());
+    let capped = || {
+        svc.metrics()
+            .snapshot()
+            .counter(syncplace::obs::keys::SEARCH_CAPPED)
+    };
+    let full = svc.run(&testiv_req(2, "fig1", "batched")).unwrap();
+    assert!(!full.capped);
+    assert!(syncplace_server::service::result_line(&full).contains("\"capped\":false"));
+    assert_eq!(capped(), 0);
+
+    // TESTIV under the two-layer automaton has more mappings than the
+    // default cap of 4096.
+    let req = testiv_req(2, "2layer", "batched");
+    for _ in 0..2 {
+        let out = svc.run(&req).unwrap();
+        assert!(out.capped);
+        let line = syncplace_server::service::result_line(&out);
+        let v = syncplace::obs::json::parse(&line).unwrap();
+        assert_eq!(v.get("capped"), Some(&syncplace::obs::json::Value::Bool(true)));
+    }
+    assert_eq!(capped(), 1, "one cold build, one hit");
+}
