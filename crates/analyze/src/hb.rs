@@ -1,7 +1,7 @@
 //! Dynamic happens-before checker: vector clocks over the `hb.*`
 //! event streams a real engine run records (DESIGN.md §12).
 //!
-//! The runtime's send/recv/barrier/stage hook sites emit
+//! The runtime's send/recv/barrier hook sites emit
 //! [`syncplace_obs::HbEvent`]s into a [`syncplace_obs::HbRecorder`];
 //! [`check_log`] replays the captured per-rank streams, maintaining
 //! one vector clock per rank:
@@ -18,11 +18,7 @@
 //!   not ordered after its write is a race, [`codes::HB_RACE`] (SA060);
 //! * a **barrier** closes a gang episode: the k-th barrier of every
 //!   rank joins all participants; unequal barrier counts are
-//!   [`codes::HB_BARRIER_DIVERGENCE`] (SA062);
-//! * **stage acquire/release** track the staging free-list credit per
-//!   `(rank, peer)` pair (seeding emits releases first); an acquire
-//!   with no credit means a buffer was taken that was never freed —
-//!   [`codes::HB_STAGE_DISCIPLINE`] (SA063).
+//!   [`codes::HB_BARRIER_DIVERGENCE`] (SA062).
 //!
 //! Replay is demand-driven: a rank's next event is processed once its
 //! match is available, so cross-rank processing order never has to be
@@ -49,8 +45,6 @@ pub struct HbStats {
     pub reads: u64,
     /// Completed gang barrier episodes.
     pub barrier_episodes: u64,
-    /// Stage acquire/release events checked against the credit.
-    pub stage_events: u64,
 }
 
 type Clock = Vec<u64>;
@@ -74,7 +68,6 @@ struct Replay<'a> {
     sends: HashMap<(usize, usize), Vec<Clock>>,
     recv_cursor: HashMap<(usize, usize), usize>,
     read_cursor: HashMap<(usize, usize), usize>,
-    credits: HashMap<(usize, usize), i64>,
     stats: HbStats,
 }
 
@@ -89,7 +82,6 @@ impl<'a> Replay<'a> {
             sends: HashMap::new(),
             recv_cursor: HashMap::new(),
             read_cursor: HashMap::new(),
-            credits: HashMap::new(),
             stats: HbStats {
                 ranks: n,
                 ..HbStats::default()
@@ -167,30 +159,6 @@ impl<'a> Replay<'a> {
                     )));
                 }
             }
-            k if k == keys::HB_STAGE_RELEASE => {
-                self.stats.stage_events += 1;
-                *self.credits.entry((r, peer)).or_insert(0) += 1;
-            }
-            k if k == keys::HB_STAGE_ACQUIRE => {
-                self.stats.stage_events += 1;
-                let c = self.credits.entry((r, peer)).or_insert(0);
-                *c -= 1;
-                if *c < 0 {
-                    return Err(Box::new(Diagnostic::error(
-                        codes::HB_STAGE_DISCIPLINE,
-                        Span::phase(0, Some(r)),
-                        format!(
-                            "rank {r} acquires a staging slot for peer {peer} with no \
-                             free buffer (more acquires than seeded + released slots)"
-                        ),
-                    )
-                    .with_help(
-                        "the double-buffer discipline requires every post to reuse a \
-                         drained or seeded buffer; a negative credit means an \
-                         in-flight buffer was overwritten",
-                    )));
-                }
-            }
             _ => {
                 // Unknown hb key: tolerate (forward compatibility) —
                 // the tick above still orders the rank's stream.
@@ -257,8 +225,8 @@ impl<'a> Replay<'a> {
 /// Replay a recorded run and verify its happens-before discipline.
 ///
 /// Returns a clean report when every cross-rank read is ordered after
-/// its matching write, every receive has a send, barrier episodes
-/// close uniformly, and the staging credit never goes negative.
+/// its matching write, every receive has a send, and barrier episodes
+/// close uniformly.
 pub fn check_log(log: &HbLog) -> (Report, HbStats) {
     let mut rp = Replay::new(log);
     let mut report = Report::new();
@@ -290,23 +258,13 @@ pub fn check_log(log: &HbLog) -> (Report, HbStats) {
 // Seeded-defect helpers for the mutation suite.
 // ---------------------------------------------------------------------------
 
-fn drop_at(log: &HbLog, rank: usize, idx: usize) -> HbLog {
-    let mut out = log.clone();
-    out[rank].remove(idx);
-    out
-}
-
 /// Drop the **last** event with `key` from `rank`'s stream; `None`
 /// when the rank never recorded one.
 pub fn drop_last(log: &HbLog, rank: usize, key: &str) -> Option<HbLog> {
     let idx = log.get(rank)?.iter().rposition(|e| e.key == key)?;
-    Some(drop_at(log, rank, idx))
-}
-
-/// Drop the **first** event with `key` from `rank`'s stream.
-pub fn drop_first(log: &HbLog, rank: usize, key: &str) -> Option<HbLog> {
-    let idx = log.get(rank)?.iter().position(|e| e.key == key)?;
-    Some(drop_at(log, rank, idx))
+    let mut out = log.clone();
+    out[rank].remove(idx);
+    Some(out)
 }
 
 /// Drop the first event with `key` from **every** rank's stream;
@@ -395,27 +353,6 @@ mod tests {
         let racy = drop_first_everywhere(&log, keys::HB_BARRIER).unwrap();
         let (report, _) = check_log(&racy);
         assert!(report.has_code(codes::HB_RACE), "{report}");
-    }
-
-    #[test]
-    fn stage_credit_goes_negative_without_its_seed() {
-        let log: HbLog = vec![
-            vec![
-                ev(keys::HB_STAGE_RELEASE, 1),
-                ev(keys::HB_STAGE_RELEASE, 1),
-                ev(keys::HB_STAGE_ACQUIRE, 1),
-                ev(keys::HB_SEND, 1),
-                ev(keys::HB_STAGE_ACQUIRE, 1),
-                ev(keys::HB_SEND, 1),
-            ],
-            vec![ev(keys::HB_RECV, 0), ev(keys::HB_RECV, 0)],
-        ];
-        let (report, stats) = check_log(&log);
-        assert!(report.is_clean(), "{report}");
-        assert_eq!(stats.stage_events, 4);
-        let short = drop_first(&log, 0, keys::HB_STAGE_RELEASE).unwrap();
-        let (report, _) = check_log(&short);
-        assert!(report.has_code(codes::HB_STAGE_DISCIPLINE), "{report}");
     }
 
     #[test]

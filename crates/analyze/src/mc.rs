@@ -4,10 +4,9 @@
 //! A compiled [`CommPlan`] plus an engine's scheduling discipline is
 //! abstracted into a transition system of per-rank operations
 //! ([`McOp`]): tagged sends and receives over per-ordered-pair FIFO
-//! channels, staging-slot acquire/recycle credits (the overlapped
-//! engine's double-buffer discipline, including its wrap-around tail
-//! posts), gang barriers, and the decomposer's bucket
-//! publish/consume exchange. [`check`] then explores **every**
+//! channels, staging-slot acquire/recycle credits (the batched
+//! engine's buffer free lists), gang barriers, and the decomposer's
+//! bucket publish/consume exchange. [`check`] then explores **every**
 //! inequivalent interleaving at small P (≤ 4 is practical) with a
 //! sleep-set partial-order reduction over a conditional (state-aware)
 //! independence relation, proving for the explored program:
@@ -32,7 +31,7 @@
 //! the cap is hit the reduced-DFS trace is reported instead). The
 //! [`Mutation`] suite seeds representative concurrency defects —
 //! dropped barriers, lost/duplicated messages, wildcard receives,
-//! early tail posts without a buffer acquire, swapped staging
+//! staged posts without a buffer acquire, swapped staging
 //! destinations — each of which the checker must report under its
 //! exact SA05x code (`tests/racecheck.rs`).
 
@@ -41,45 +40,29 @@ use syncplace_ir::diag::{codes, Diagnostic, Report, Span};
 use syncplace_runtime::CommPlan;
 
 /// Which engine's scheduling discipline to model over a [`CommPlan`].
+/// The parallel decomposer's gang schedule has its own model,
+/// [`decomp_model`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Round-robin sequential reference: plain phase-ordered
     /// send-then-receive, no gang barrier.
     Reference,
-    /// Spawn-per-run threaded engine: same schedule as the reference,
-    /// executed concurrently (join is not a cyclic wait).
-    Threaded,
-    /// Persistent-pool engine: threaded schedule plus the gang-join
-    /// barrier at the end of the run.
-    Pooled,
     /// Batched engine: coalesced per-peer packets whose buffers
-    /// recycle through per-pair free lists (credits seeded empty —
-    /// first acquire on each pair allocates).
+    /// recycle through per-pair free lists (empty at the start — the
+    /// first acquire on each pair allocates), plus the pool's
+    /// gang-join barrier at the end of the run.
     Batched,
-    /// Overlapped engine: split-phase staged posts issued one phase
-    /// early (double-buffered, credits seeded at 2 per pair) with
-    /// wrap-around tail posts between sweeps.
-    Overlapped,
 }
 
 impl EngineKind {
-    /// All five engines, in the canonical reporting order.
-    pub const ALL: [EngineKind; 5] = [
-        EngineKind::Reference,
-        EngineKind::Threaded,
-        EngineKind::Pooled,
-        EngineKind::Batched,
-        EngineKind::Overlapped,
-    ];
+    /// Both engines, in the canonical reporting order.
+    pub const ALL: [EngineKind; 2] = [EngineKind::Reference, EngineKind::Batched];
 
     /// Stable lowercase name used in reports and BENCH sections.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Reference => "reference",
-            EngineKind::Threaded => "threaded",
-            EngineKind::Pooled => "pooled",
             EngineKind::Batched => "batched",
-            EngineKind::Overlapped => "overlapped",
         }
     }
 }
@@ -136,8 +119,8 @@ pub enum McOp {
     },
 }
 
-/// A modelled program: one operation list per rank plus the seeded
-/// staging credits per ordered `(rank, peer)` pair.
+/// A modelled program: one operation list per rank. Staging free
+/// lists start empty.
 #[derive(Debug, Clone)]
 pub struct McProgram {
     /// Human-readable label (engine + program) for reports.
@@ -146,8 +129,6 @@ pub struct McProgram {
     pub nranks: usize,
     /// Per-rank operation lists, program order.
     pub ops: Vec<Vec<McOp>>,
-    /// Seeded free-list credits, indexed `rank * nranks + peer`.
-    pub seed_credits: Vec<u32>,
 }
 
 const R1: usize = 0;
@@ -252,78 +233,26 @@ fn push_completes(o: &mut Vec<McOp>, plan: &CommPlan, r: usize, k: usize, staged
 /// iterations into a checkable transition system.
 pub fn from_plan(plan: &CommPlan, engine: EngineKind, sweeps: usize) -> McProgram {
     let n = plan.nparts;
-    let m = plan.phases.len();
+    // Both engines execute phases in order: post everything, then
+    // complete. Batched buffers recycle through free lists and the
+    // run ends at the pool's gang join.
+    let batched = engine == EngineKind::Batched;
     let mut ops: Vec<Vec<McOp>> = vec![Vec::new(); n];
-    let mut seed_credits = vec![0u32; n * n];
-    match engine {
-        EngineKind::Overlapped => {
-            for (r, o) in ops.iter_mut().enumerate() {
-                if m > 0 {
-                    // Prologue post, then each completed phase
-                    // immediately posts the next one (wrapping into
-                    // the next sweep's first phase — the tail posts
-                    // `post_at_tail` fires after the sweep body).
-                    // A rank may thus run a full phase ahead of a
-                    // peer, so a pair's channel holds two in-flight
-                    // packets — the split-phase overlap the double
-                    // buffers exist for. Posting *before* the
-                    // same-rank complete would reorder round-1
-                    // traffic ahead of the previous phase's tree
-                    // packets on the shared FIFO, which the real
-                    // engine's program order never does.
-                    push_sends(o, plan, r, 0, true);
-                    for s in 0..sweeps {
-                        for k in 0..m {
-                            push_completes(o, plan, r, k, true);
-                            let next = if k + 1 < m {
-                                Some(k + 1)
-                            } else if s + 1 < sweeps {
-                                Some(0)
-                            } else {
-                                None
-                            };
-                            if let Some(nk) = next {
-                                push_sends(o, plan, r, nk, true);
-                            }
-                        }
-                    }
-                }
-                o.push(McOp::Barrier { id: 0 });
-            }
-            // Two buffers per talking pair, exactly as
-            // `seed_double_buffers` provisions them.
-            for r in 0..n {
-                for q in 0..n {
-                    if q != r && plan.phases.iter().any(|ph| ph.ranks[r].send1_len[q] > 0) {
-                        seed_credits[r * n + q] = 2;
-                    }
-                }
+    for (r, o) in ops.iter_mut().enumerate() {
+        for _ in 0..sweeps {
+            for k in 0..plan.phases.len() {
+                push_sends(o, plan, r, k, batched);
+                push_completes(o, plan, r, k, batched);
             }
         }
-        _ => {
-            // Reference/threaded/pooled/batched all execute phases in
-            // order: post everything, then complete. Batched buffers
-            // recycle through free lists seeded empty.
-            let staged = engine == EngineKind::Batched;
-            let barrier = matches!(engine, EngineKind::Pooled | EngineKind::Batched);
-            for (r, o) in ops.iter_mut().enumerate() {
-                for _ in 0..sweeps {
-                    for k in 0..m {
-                        push_sends(o, plan, r, k, staged);
-                        push_completes(o, plan, r, k, staged);
-                    }
-                }
-                if barrier {
-                    o.push(McOp::Barrier { id: 0 });
-                }
-            }
+        if batched {
+            o.push(McOp::Barrier { id: 0 });
         }
     }
     McProgram {
         label: format!("{}:P{}x{}", engine.name(), n, sweeps),
         nranks: n,
         ops,
-        seed_credits,
     }
 }
 
@@ -354,7 +283,6 @@ pub fn decomp_model(workers: usize) -> McProgram {
         label: format!("decompose_par:W{w}"),
         nranks: w,
         ops,
-        seed_credits: vec![0; w * w],
     }
 }
 
@@ -442,7 +370,7 @@ fn initial(prog: &McProgram) -> St {
     St {
         pcs: vec![0; n],
         chans: vec![VecDeque::new(); n * n],
-        credits: prog.seed_credits.clone(),
+        credits: vec![0; n * n],
         buckets: vec![None; n * n],
         epoch: 0,
         logs: vec![FNV_OFFSET; n],
@@ -1062,9 +990,9 @@ pub enum Mutation {
         /// The rank whose receives lose their source matching.
         rank: usize,
     },
-    /// Make the wrap-around tail post (the last phase-0 staged send
-    /// on the pair) skip its buffer acquire — the "early tail post"
-    /// defect the double buffers exist to prevent.
+    /// Make the last phase-0 staged send on the pair (the next
+    /// sweep's first post) skip its buffer acquire, reusing a buffer
+    /// that may still be in flight.
     PostWithoutAcquire {
         /// Sender rank.
         from: usize,
@@ -1271,7 +1199,7 @@ pub fn default_mutations(prog: &McProgram) -> Vec<(Mutation, &'static str)> {
             },
         ));
     }
-    // Early tail post: a staged pair whose wrap-around re-post of
+    // Unacquired re-post: a staged pair whose next-sweep post of
     // phase 0 can overlap an undrained tail-phase message.
     let max_phase = prog
         .ops
@@ -1319,7 +1247,6 @@ mod tests {
             label: "test".into(),
             nranks: n,
             ops,
-            seed_credits: vec![0; n * n],
         }
     }
 
@@ -1419,8 +1346,8 @@ mod tests {
     }
 
     #[test]
-    fn acquired_double_buffered_posts_are_safe() {
-        let mut p = prog(
+    fn acquired_back_to_back_posts_are_safe() {
+        let p = prog(
             2,
             vec![
                 vec![
@@ -1433,10 +1360,10 @@ mod tests {
                 ],
             ],
         );
-        p.seed_credits = vec![0, 2, 0, 0];
         let out = check(&p);
         assert!(out.report.is_clean(), "{}", out.report);
-        assert_eq!(out.stats.alloc_fallbacks, 0);
+        // Free lists start empty, so the posts allocate afresh.
+        assert!(out.stats.alloc_fallbacks > 0);
     }
 
     #[test]

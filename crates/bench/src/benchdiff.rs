@@ -276,7 +276,7 @@ pub fn compare(old: &Value, new: &Value, max_ratio: f64) -> (String, Verdict) {
     // Large-tier gates (E24, introduced with schema v5). The bitwise-identity contract
     // of the parallel builder holds at any scale; the performance
     // floors — modeled ≥ 1.5× at 4 workers, the peak-allocation
-    // ceiling, and the concurrent engines' vs-RR floors at P ≥ 64 —
+    // ceiling, and the batched engine's vs-RR floor at P ≥ 64 —
     // only mean something at paper scale (million-element meshes).
     if let Some(large) = new.get("large") {
         let metered = |v: &Value| {
@@ -352,7 +352,7 @@ pub fn compare(old: &Value, new: &Value, max_ratio: f64) -> (String, Verdict) {
                 ) else {
                     continue;
                 };
-                if p >= 64.0 && matches!(name, "batched" | "overlapped") && vs_rr < 1.0 {
+                if p >= 64.0 && name == "batched" && vs_rr < 1.0 {
                     verdict = Verdict::Regression;
                     let _ = writeln!(
                         out,
@@ -579,7 +579,7 @@ mod tests {
     fn snap_v3(rev: &str, vs_rr: f64, speedup: f64, identical: bool) -> String {
         format!(
             "{{\"schema\":\"{}\",\"git_rev\":\"{rev}\",\"scale\":\"paper\",\
-             \"engines\":[{{\"p\":8,\"engine\":\"overlapped\",\"wall_ms\":1.0,\
+             \"engines\":[{{\"p\":8,\"engine\":\"batched\",\"wall_ms\":1.0,\
              \"speedup_vs_rr\":{vs_rr}}}],\
              \"search\":{{\"workers\":4,\"modeled_speedup\":{speedup},\"identical\":{identical}}}}}",
             crate::BENCH_SCHEMA

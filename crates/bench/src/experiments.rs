@@ -979,21 +979,19 @@ pub fn e17_partitioners(scale: Scale) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// E18 — runtime engines: batched phases, persistent pool, parallel search
+// E18 — runtime engines: batched phases, parallel search
 // ---------------------------------------------------------------------------
 
-/// E18 / `bench-runtime`: wall-clock and modeled speedup of the five
-/// SPMD engines, packet accounting of the batched wire format, the
-/// persistent pool vs spawn-per-run, and the work-stealing placement
-/// enumeration on the wide workload. Also writes the raw numbers to
-/// `BENCH_runtime.json` in the current directory.
+/// E18 / `bench-runtime`: wall-clock and modeled speedup of the two
+/// SPMD engines, packet accounting of the batched wire format, and the
+/// work-stealing placement enumeration on the wide workload. Also
+/// writes the raw numbers to `BENCH_runtime.json` in the current
+/// directory.
 ///
 /// The modeled columns drive the engines through the α/β model with
 /// their actual wire behaviour ([`syncplace::runtime::Wire`]): the
 /// round-robin reference serializes reductions into ascending-rank
-/// chains, the concurrent engines run the binomial tree, and the
-/// overlapped engine additionally discounts each phase by the compute
-/// it provably kept in flight ([`syncplace::runtime::OverlapReport`]).
+/// chains and the batched engine runs the binomial tree.
 /// `speedup_vs_rr` — an engine's modeled time relative to round-robin
 /// at the same P — is deterministic and gated by `benchdiff --check`.
 pub fn bench_runtime(scale: Scale) -> String {
@@ -1026,11 +1024,6 @@ pub fn bench_runtime(scale: Scale) -> String {
                 }
             }
         }
-        // One overlapped run up front for this P's hidden-work profile.
-        let (_, ov_report) = syncplace::runtime::run_spmd_overlapped_with_report(
-            &s.prog, &spmd, &d, &s.bindings, &None,
-        )
-        .unwrap();
         let mut rr_t_par = f64::NAN;
         let mut unbatched_messages = usize::MAX;
         for engine in Engine::ALL {
@@ -1043,12 +1036,11 @@ pub fn bench_runtime(scale: Scale) -> String {
                 res = Some(r);
             }
             let r = res.unwrap();
-            let (wire, hidden) = match engine {
-                Engine::RoundRobin => (Wire::ReferenceChain, None),
-                Engine::Overlapped => (Wire::Tree, Some(ov_report.hidden_units.as_slice())),
-                _ => (Wire::Tree, None),
+            let wire = match engine {
+                Engine::RoundRobin => Wire::ReferenceChain,
+                Engine::Batched => Wire::Tree,
             };
-            let est = estimate_engine(&seq, &r, &model, wire, hidden);
+            let est = estimate_engine(&seq, &r, &model, wire);
             if matches!(engine, Engine::RoundRobin) {
                 rr_t_par = est.t_par;
                 unbatched_messages = r.stats.total_messages();
@@ -1056,7 +1048,7 @@ pub fn bench_runtime(scale: Scale) -> String {
             // Coalescing must never send *more* messages than the
             // per-op wire it replaces (the fixed P=8 packet
             // regression); checked at bench time at every P.
-            if matches!(engine, Engine::Batched | Engine::Overlapped) {
+            if engine == Engine::Batched {
                 assert!(
                     r.stats.total_messages() <= unbatched_messages,
                     "P={p} {}: {} messages > {} unbatched",
@@ -1088,47 +1080,6 @@ pub fn bench_runtime(scale: Scale) -> String {
             ));
         }
     }
-
-    // Pool vs spawn-per-run: many short runs back to back — the
-    // pattern of repeated `reproduce` experiments, where per-run
-    // thread start-up is a real fraction of the run.
-    let pool_p = *procs.last().unwrap();
-    let pool_runs = match scale {
-        Scale::Quick => 30,
-        Scale::Paper => 50,
-    };
-    let short_prog = syncplace::ir::programs::testiv_with(1);
-    let short_mesh = syncplace::mesh::gen2d::perturbed_grid(8, 8, 0.2, 42);
-    let short_b = syncplace::runtime::bindings::testiv_bindings(&short_prog, &short_mesh, 0.0);
-    let (short_dfg, short_an) = syncplace::placement::analyze_program(
-        &short_prog,
-        &fig6(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
-    let short_spmd =
-        syncplace::codegen::spmd_program(&short_prog, &short_dfg, &short_an.solutions[0]);
-    let part =
-        syncplace::partition::partition2d(&short_mesh, pool_p, syncplace::partition::Method::Greedy);
-    let d = syncplace::overlap::decompose2d(&short_mesh, &part.part, pool_p, Pattern::FIG1);
-    // Warm the pool so its one-time growth isn't billed to either side.
-    Engine::ThreadedPooled
-        .run(&short_prog, &short_spmd, &d, &short_b)
-        .unwrap();
-    let t0 = Instant::now();
-    for _ in 0..pool_runs {
-        Engine::Threaded
-            .run(&short_prog, &short_spmd, &d, &short_b)
-            .unwrap();
-    }
-    let spawn_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    for _ in 0..pool_runs {
-        Engine::ThreadedPooled
-            .run(&short_prog, &short_spmd, &d, &short_b)
-            .unwrap();
-    }
-    let pooled_s = t0.elapsed().as_secs_f64();
 
     // Work-stealing placement enumeration. The E9 chains are forced
     // single-candidate steps (nothing to donate), so throughput is
@@ -1229,7 +1180,6 @@ pub fn bench_runtime(scale: Scale) -> String {
     let json = format!(
         "{{\n  \"schema\": \"{}\",\n  \"git_rev\": \"{}\",\n  \"scale\": \"{}\",\n  \
          \"engines\": [\n    {}\n  ],\n  \"batched_max_packets_per_pair_per_phase\": {},\n  \
-         \"pool\": {{\"p\": {pool_p}, \"runs\": {pool_runs}, \"spawn_s\": {spawn_s:.4}, \"pooled_s\": {pooled_s:.4}}},\n  \
          \"obs_overhead\": {{\"p\": {obs_p}, \"reps\": {obs_reps}, \"engine\": \"batched\", \
          \"disabled_s\": {obs_off:.4}, \"noop_s\": {obs_noop:.4}, \"ratio\": {obs_ratio:.4}}},\n  \
          \"search\": {{\"workload\": \"wide({wide_k})\", \"workers\": {workers}, \"seq_s\": {seq_s:.4}, \"par_s\": {par_s:.4}, \
@@ -1265,13 +1215,6 @@ pub fn bench_runtime(scale: Scale) -> String {
         out,
         "\nbatched wire format: max packets per ordered pair per phase = {max_packets_per_pair} \
          (1 per round; a phase has at most 2 rounds)"
-    );
-    let _ = writeln!(
-        out,
-        "pool vs spawn at P={pool_p}, {pool_runs} back-to-back runs: spawn {:.1} ms, pooled {:.1} ms ({:.2}x)",
-        spawn_s * 1e3,
-        pooled_s * 1e3,
-        spawn_s / pooled_s.max(1e-9)
     );
     let _ = writeln!(
         out,
@@ -1321,10 +1264,10 @@ pub fn bench_runtime(scale: Scale) -> String {
 ///    the same meshes: wall-clock, modeled speedup (work units over
 ///    the busiest-chain critical path — the repo's 1-CPU convention),
 ///    and a full bitwise-equality check against the sequential build.
-/// 3. **Engine scaling at the new P values** — every engine at
+/// 3. **Engine scaling at the new P values** — both engines at
 ///    P ∈ {16, 32, 64, 128} on a TESTIV instance, recording
 ///    `speedup_vs_rr` exactly like E18 so benchdiff can gate the
-///    concurrent engines' floors at P = 64 and 128.
+///    batched engine's floor at P = 64 and 128.
 ///
 /// At `--quick` scale ("ci" preset, run by `scripts/clippy.sh`) the
 /// meshes shrink to a few thousand elements and P to {4, 8}; the same
@@ -1442,10 +1385,6 @@ pub fn e24_large(scale: Scale) -> String {
     let mut json_engines = Vec::new();
     for &p in procs {
         let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
-        let (_, ov_report) = syncplace::runtime::run_spmd_overlapped_with_report(
-            &s.prog, &spmd, &d, &s.bindings, &None,
-        )
-        .unwrap();
         let mut rr_t_par = f64::NAN;
         for engine in Engine::ALL {
             let mut best = f64::INFINITY;
@@ -1457,12 +1396,11 @@ pub fn e24_large(scale: Scale) -> String {
                 res = Some(r);
             }
             let r = res.unwrap();
-            let (wire, hidden) = match engine {
-                Engine::RoundRobin => (Wire::ReferenceChain, None),
-                Engine::Overlapped => (Wire::Tree, Some(ov_report.hidden_units.as_slice())),
-                _ => (Wire::Tree, None),
+            let wire = match engine {
+                Engine::RoundRobin => Wire::ReferenceChain,
+                Engine::Batched => Wire::Tree,
             };
-            let est = estimate_engine(&seq, &r, &model, wire, hidden);
+            let est = estimate_engine(&seq, &r, &model, wire);
             if matches!(engine, Engine::RoundRobin) {
                 rr_t_par = est.t_par;
             }
@@ -1541,7 +1479,7 @@ fn merge_section(key: &str, section_json: &str, scale: Scale) -> String {
 ///
 /// Four sweeps:
 ///
-/// 1. **Model checking** — every engine's abstracted schedule
+/// 1. **Model checking** — both engines' abstracted schedules
 ///    ([`syncplace::analyze::mc`]) on the Fig. 9 and Fig. 10 TESTIV
 ///    plans under both overlap patterns at P ≤ 4, plus the parallel
 ///    decomposer's gang model: exhaustive interleaving exploration
@@ -1552,11 +1490,11 @@ fn merge_section(key: &str, section_json: &str, scale: Scale) -> String {
 /// 2. **MC mutation suite** — every seeded schedule defect
 ///    ([`syncplace::analyze::mc::default_mutations`]) must be caught
 ///    with its exact SA05x code and a counterexample interleaving.
-/// 3. **Happens-before replay** — real recorded runs of all five
+/// 3. **Happens-before replay** — real recorded runs of both
 ///    engines and the parallel decomposer
 ///    ([`syncplace::analyze::hb`]) must replay with zero violations.
 /// 4. **HB mutation suite** — seeded log defects (dropped sends,
-///    receives, gang joins, stage releases) must be caught with their
+///    receives, gang joins, claim barriers) must be caught with their
 ///    exact SA06x codes.
 ///
 /// Returns the printable report and `false` when any gate failed —
@@ -1799,17 +1737,15 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
     );
 
     // 4. HB mutation suite on real logs.
-    let record = |engine: Engine| {
+    let batched = {
         let (d, spmd) = setup::decompose(&s, 3, Pattern::FIG1, 0);
         let hbr = Arc::new(HbRecorder::new());
         let rec: RecorderRef = Some(hbr.clone());
-        engine
+        Engine::Batched
             .run_recorded(&s.prog, &spmd, &d, &s.bindings, &rec)
             .expect("engine run");
         hbr.snapshot()
     };
-    let batched = record(Engine::Batched);
-    let overlapped = record(Engine::Overlapped);
     let decomp_log = {
         let mesh = syncplace::mesh::gen2d::perturbed_grid(17, 17, 0.2, 42);
         let part = syncplace::partition::partition2d(&mesh, 3, syncplace::partition::Method::GreedyKl);
@@ -1831,11 +1767,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
             "drop claim barrier",
             hb::drop_first_everywhere(&decomp_log, keys::HB_BARRIER),
             codes::HB_RACE,
-        ),
-        (
-            "drop seed release",
-            hb::drop_first(&overlapped, 1, keys::HB_STAGE_RELEASE),
-            codes::HB_STAGE_DISCIPLINE,
         ),
     ];
     let mut hb_seeded = 0u64;
@@ -2269,7 +2200,7 @@ pub fn index() -> Vec<(&'static str, &'static str)> {
         ("e17-partition", "mesh-splitter quality (MS3D substitute)"),
         (
             "bench-runtime",
-            "engine wall-clock, batched packets, pool, parallel search",
+            "engine wall-clock, batched packets, parallel search",
         ),
         (
             "trace",

@@ -61,48 +61,31 @@ pub use syncplace_partition as partition;
 pub use syncplace_placement as placement;
 pub use syncplace_runtime as runtime;
 
-/// Which SPMD engine executes a placed program. All five produce
-/// bitwise-identical results; they differ in scheduling and wire
-/// format only.
+/// Which SPMD engine executes a placed program. Both produce
+/// bitwise-identical results and the same message counts; they differ
+/// in scheduling and wire format only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The deterministic round-robin reference executor.
     RoundRobin,
-    /// One OS thread per processor, spawned per run, one message per
-    /// comm op per peer.
-    Threaded,
-    /// The same wire protocol on the persistent worker pool
-    /// ([`runtime::SpmdPool`]) — no per-run thread start-up.
-    ThreadedPooled,
     /// Batched zero-copy phases (one coalesced packet per peer per
-    /// phase, recycled staging buffers) on the persistent pool.
+    /// phase, recycled staging buffers) on the persistent pool
+    /// ([`runtime::SpmdPool`]) — the engine the placement daemon
+    /// serves.
     Batched,
-    /// The batched wire plus communication/compute overlap: round-1
-    /// sends post early (producer splits, hoisted posts, wrap-around
-    /// pipelining) and the staging area is double-buffered.
-    Overlapped,
 }
 
 impl Engine {
-    /// All five engines, in documentation order — iterate this to
-    /// compare engines on the same placed program.
-    pub const ALL: [Engine; 5] = [
-        Engine::RoundRobin,
-        Engine::Threaded,
-        Engine::ThreadedPooled,
-        Engine::Batched,
-        Engine::Overlapped,
-    ];
+    /// Both engines, reference first — iterate this to compare the
+    /// engines on the same placed program.
+    pub const ALL: [Engine; 2] = [Engine::RoundRobin, Engine::Batched];
 
     /// The engine's stable display name (used in reports and trace
     /// output).
     pub fn name(self) -> &'static str {
         match self {
             Engine::RoundRobin => "round-robin",
-            Engine::Threaded => "threaded",
-            Engine::ThreadedPooled => "threaded-pooled",
             Engine::Batched => "batched",
-            Engine::Overlapped => "overlapped",
         }
     }
 
@@ -131,12 +114,7 @@ impl Engine {
     ) -> Result<runtime::SpmdResult, String> {
         match self {
             Engine::RoundRobin => runtime::spmd::run_spmd_recorded(prog, spmd, d, b, rec),
-            Engine::Threaded => runtime::threads::run_spmd_threaded_recorded(prog, spmd, d, b, rec),
-            Engine::ThreadedPooled => {
-                runtime::threads::run_spmd_threaded_pooled_recorded(prog, spmd, d, b, rec)
-            }
             Engine::Batched => runtime::run_spmd_batched_recorded(prog, spmd, d, b, rec),
-            Engine::Overlapped => runtime::run_spmd_overlapped_recorded(prog, spmd, d, b, rec),
         }
     }
 }

@@ -449,9 +449,9 @@ pub mod codes {
     /// Happens-before: barrier episode divergence — ranks disagree on
     /// how many barriers the run passed through.
     pub const HB_BARRIER_DIVERGENCE: &str = "SA062";
-    /// Happens-before: staging-credit discipline violated — a stage
-    /// buffer was acquired with no seeded or recycled credit left.
-    pub const HB_STAGE_DISCIPLINE: &str = "SA063";
+    // SA063 (staging-credit discipline) is retired with the
+    // double-buffered engine that was its only emitter; the number is
+    // not reused.
 
     /// The full `(code, summary)` table, for docs and validation.
     pub fn table() -> Vec<(&'static str, &'static str)> {
@@ -495,7 +495,6 @@ pub mod codes {
             (HB_RACE, "cross-rank read not ordered after its write"),
             (HB_UNMATCHED, "receive or read without a matching send"),
             (HB_BARRIER_DIVERGENCE, "barrier episode counts disagree"),
-            (HB_STAGE_DISCIPLINE, "stage acquired without credit"),
         ]
     }
 }

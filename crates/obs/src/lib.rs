@@ -133,18 +133,6 @@ pub mod keys {
     /// Event: one rank job on a pool worker, dequeue to completion
     /// (per-rank; events only).
     pub const POOL_JOB: &str = "pool.job";
-    /// Span + per-rank event: packing and posting a phase's round-1
-    /// packets *early* — before the producer loop's interior
-    /// iterations — in the overlapped engine.
-    pub const EARLY_SEND_SPAN: &str = "overlap.early_send";
-    /// Span + per-rank event: the producer loop's interior iterations,
-    /// executed while the early-posted packets are in flight.
-    pub const INTERIOR_SPAN: &str = "overlap.interior";
-    /// Counter: compute units executed between a phase's early post
-    /// and its completion, summed over every rank's own interiors.
-    pub const OVERLAP_HIDDEN: &str = "overlap.hidden_units";
-    /// Counter: early posts performed (every rank, own posts).
-    pub const OVERLAP_POSTS: &str = "overlap.posts";
     /// Counter: placement-search nodes visited.
     pub const SEARCH_VISITS: &str = "search.visits";
     /// Counter: placement-search backtracks.
@@ -243,12 +231,6 @@ pub mod keys {
     /// Hb event: one barrier arrival (pool gang join, decomposer stage
     /// boundary); an episode joins the clocks of every rank.
     pub const HB_BARRIER: &str = "hb.barrier";
-    /// Hb event: one staging slot acquired from the rank's own free
-    /// list for a peer (overlapped engine's recycle discipline).
-    pub const HB_STAGE_ACQUIRE: &str = "hb.stage.acquire";
-    /// Hb event: one staging slot returned — a seeded double buffer or
-    /// a drained buffer given back for the reverse direction.
-    pub const HB_STAGE_RELEASE: &str = "hb.stage.release";
 
     /// Every key in the vocabulary, in declaration order — the single
     /// source of truth the README field glossaries are checked against
@@ -279,10 +261,6 @@ pub mod keys {
         POOL_WORKERS,
         POOL_GANG_SPAN,
         POOL_JOB,
-        EARLY_SEND_SPAN,
-        INTERIOR_SPAN,
-        OVERLAP_HIDDEN,
-        OVERLAP_POSTS,
         SEARCH_VISITS,
         SEARCH_BACKTRACKS,
         SEARCH_SOLUTIONS,
@@ -318,7 +296,5 @@ pub mod keys {
         HB_RECV,
         HB_READ,
         HB_BARRIER,
-        HB_STAGE_ACQUIRE,
-        HB_STAGE_RELEASE,
     ];
 }

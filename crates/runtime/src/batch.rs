@@ -1,9 +1,9 @@
-//! The batched threaded SPMD engine: persistent pool workers, one
+//! The batched multi-threaded SPMD engine: persistent pool workers, one
 //! coalesced packet per peer per communication phase, and recycled
 //! flat f64 staging buffers — zero allocation in the steady state.
 //!
-//! Compared to [`crate::threads`] (one message per op per peer,
-//! threads spawned per run), this engine:
+//! Compared to the round-robin reference's simulated per-op wire (one
+//! message per op per peer), this engine:
 //!
 //! * executes a [`crate::plan::CommPlan`] built once from the
 //!   decomposition's schedules and reused across all time-loop
@@ -16,8 +16,8 @@
 //!   [`crate::pool::SpmdPool`], reusing OS threads across runs and
 //!   experiments.
 //!
-//! Combine orders are identical to the reference engines, so outputs
-//! are **bitwise identical** to round-robin and spawn-per-run runs.
+//! Combine orders are identical to the reference engine, so outputs
+//! are **bitwise identical** to round-robin runs.
 
 use crate::bindings::Bindings;
 use crate::comm::CommStats;
@@ -32,6 +32,10 @@ use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_ir::{Program, Stmt};
 use syncplace_overlap::Decomposition;
 use syncplace_placement::IterationDomain;
+
+/// One rank's job on the worker pool: run the rank to completion and
+/// return its machine, comm stats and iteration count.
+type RankJob = Box<dyn FnOnce() -> Result<(Machine, CommStats, usize), String> + Send + 'static>;
 
 /// One rank's endpoints: data channels in both directions plus return
 /// channels that carry spent staging buffers back to their sender.
@@ -461,7 +465,7 @@ pub fn run_spmd_batched_with_plan_recorded<const V: usize>(
         })
         .collect();
 
-    let mut jobs: Vec<crate::threads::RankJob> = Vec::with_capacity(nparts);
+    let mut jobs: Vec<RankJob> = Vec::with_capacity(nparts);
     for (rank, m) in machines.into_iter().enumerate() {
         let net = BatchNet {
             rank,

@@ -12,12 +12,10 @@
 //!   reference run is simply a `Machine` over the whole mesh.
 //! * [`bindings`] — how program variables bind to mesh data
 //!   (indirection maps to connectivity, input arrays to values).
-//! * [`spmd`] — the deterministic round-robin engine: all processors
-//!   advance statement by statement; `C$SYNCHRONIZE` points apply the
-//!   decomposition's communication schedules and are counted
-//!   ([`comm::CommStats`]).
-//! * [`threads`] — the same semantics on real OS threads with
-//!   channel-based collectives; bitwise identical to round-robin.
+//! * [`spmd`] — the deterministic round-robin reference engine: all
+//!   processors advance statement by statement; `C$SYNCHRONIZE`
+//!   points apply the decomposition's communication schedules and are
+//!   counted ([`comm::CommStats`]).
 //! * [`plan`] — the batched communication plan: one coalesced packet
 //!   per peer per phase, with buffer layouts precomputed once from
 //!   the decomposition's schedules.
@@ -26,13 +24,14 @@
 //!   owner-bucketed claim exchange, chunk-sorted edge dedup and
 //!   per-worker sub-mesh closure, bitwise identical to the
 //!   sequential [`syncplace_overlap::build::decompose`].
-//! * [`batch`] — the batched zero-copy engine combining the two.
-//! * [`overlap`] — the split-phase engine on top of the batched wire:
-//!   interface iterations first, early coalesced sends, interior
-//!   compute while packets are in flight, double-buffered staging.
+//! * [`batch`] — the concurrent engine: the batched zero-copy wire on
+//!   the pool, one rank per worker, bitwise identical to round-robin.
 //! * [`timing`] — the α/β performance model used to produce the
 //!   speedup curves of experiment E6 (the paper's §2.4 cites 20–26×
 //!   on 32 processors for the real application [Farhat & Lanteri]).
+//!
+//! There are exactly two engines: the round-robin reference and the
+//! batched concurrent engine that the placement daemon serves.
 //!
 //! Every engine also has a `*_recorded` variant taking a
 //! [`syncplace_obs::RecorderRef`]: passing `Some` captures per-phase
@@ -48,11 +47,9 @@ pub mod bindings;
 pub mod comm;
 pub mod decomp;
 pub mod exec;
-pub mod overlap;
 pub mod plan;
 pub mod pool;
 pub mod spmd;
-pub mod threads;
 pub mod timing;
 
 pub use batch::{
@@ -63,17 +60,9 @@ pub use bindings::{Bindings, MapBinding};
 pub use comm::CommStats;
 pub use decomp::{decompose2d_par, decompose3d_par, decompose_par, ParDecompStats};
 pub use exec::{run_sequential_recorded, Machine, SeqResult};
-pub use overlap::{
-    run_spmd_overlapped, run_spmd_overlapped_recorded, run_spmd_overlapped_with_report,
-    OverlapPlan, OverlapReport,
-};
 pub use plan::CommPlan;
 pub use pool::SpmdPool;
 pub use spmd::{run_spmd, run_spmd_recorded, SpmdResult};
-pub use threads::{
-    run_spmd_threaded, run_spmd_threaded_pooled, run_spmd_threaded_pooled_recorded,
-    run_spmd_threaded_recorded,
-};
 pub use timing::{estimate_engine, TimingModel, TimingReport, Wire};
 
 use syncplace_ir::Program;

@@ -54,7 +54,7 @@ pub struct TimingReport {
 
 /// Evaluate the model.
 pub fn estimate(seq: &SeqResult, spmd: &SpmdResult, model: &TimingModel) -> TimingReport {
-    estimate_engine(seq, spmd, model, Wire::Tree, None)
+    estimate_engine(seq, spmd, model, Wire::Tree)
 }
 
 /// Which wire an engine drives through the α/β model. The recorded
@@ -70,34 +70,25 @@ pub enum Wire {
     /// `2·(P − 1)` latency rounds (accumulate up the chain, result
     /// back down) instead of the binomial tree's `2·⌈log₂ P⌉`.
     ReferenceChain,
-    /// The concurrent engines (threaded, pooled, batched, overlapped):
-    /// reductions run the binomial tree, so a phase costs the rounds
-    /// recorded in its [`crate::comm::PhaseStat`].
+    /// The batched concurrent engine: reductions run the binomial
+    /// tree, so a phase costs the rounds recorded in its
+    /// [`crate::comm::PhaseStat`].
     Tree,
 }
 
-/// [`estimate`] with an explicit per-engine wire model and, for the
-/// overlapped engine, its measured hidden work.
-///
-/// `hidden` is [`crate::OverlapReport::hidden_units`]: per phase
-/// application, the compute units every rank kept in flight between
-/// the phase's early post and its completion (zero for phases that
-/// never post early). Each phase's communication cost is discounted
-/// by `flop · hidden`, floored at zero — work genuinely executed
-/// while the packets were on the wire does not wait for them.
+/// [`estimate`] with an explicit per-engine wire model.
 pub fn estimate_engine(
     seq: &SeqResult,
     spmd: &SpmdResult,
     model: &TimingModel,
     wire: Wire,
-    hidden: Option<&[f64]>,
 ) -> TimingReport {
     let t_seq = seq.compute_units * model.flop;
     let compute_max = spmd.per_proc_compute.iter().cloned().fold(0.0f64, f64::max) * model.flop;
     let nparts = spmd.per_proc_compute.len();
     let tree_rounds = crate::comm::reduce_tree_rounds(nparts);
     let mut comm = 0.0;
-    for (k, ph) in spmd.stats.phases.iter().enumerate() {
+    for ph in &spmd.stats.phases {
         // A reducing phase is recognizable from its rounds: the merge
         // takes the max over the phase's ops, and the tree term
         // dominates the update (1) and assemble (2) terms at P ≥ 2.
@@ -106,11 +97,7 @@ pub fn estimate_engine(
         } else {
             ph.rounds
         };
-        let mut t = model.alpha * rounds as f64 + model.beta * ph.max_proc_values as f64;
-        if let Some(h) = hidden {
-            t = (t - model.flop * h.get(k).copied().unwrap_or(0.0)).max(0.0);
-        }
-        comm += t;
+        comm += model.alpha * rounds as f64 + model.beta * ph.max_proc_values as f64;
     }
     let t_par = compute_max + comm;
     let speedup = t_seq / t_par;
@@ -169,13 +156,7 @@ mod tests {
         assert!(s8 < 8.0);
     }
 
-    fn paper_run(
-        nparts: usize,
-    ) -> (
-        crate::exec::SeqResult,
-        crate::spmd::SpmdResult,
-        crate::overlap::OverlapReport,
-    ) {
+    fn paper_run(nparts: usize) -> (crate::exec::SeqResult, crate::spmd::SpmdResult) {
         let p = programs::testiv();
         let mesh = gen2d::grid(24, 24);
         let b = testiv_bindings(&p, &mesh, 0.0);
@@ -189,43 +170,20 @@ mod tests {
         let spmd_prog = syncplace_codegen::spmd_program(&p, &dfg, &analysis.solutions[0]);
         let part = partition2d(&mesh, nparts, Method::GreedyKl);
         let d = decompose2d(&mesh, &part.part, nparts, Pattern::FIG1);
-        let (res, report) =
-            crate::overlap::run_spmd_overlapped_with_report(&p, &spmd_prog, &d, &b, &None).unwrap();
-        (seq, res, report)
+        let res = crate::run_spmd_batched(&p, &spmd_prog, &d, &b).unwrap();
+        (seq, res)
     }
 
     #[test]
     fn reference_chain_wire_is_slower_than_the_tree() {
-        let (seq, res, _) = paper_run(8);
+        let (seq, res) = paper_run(8);
         let m = TimingModel::default();
-        let chain = estimate_engine(&seq, &res, &m, Wire::ReferenceChain, None);
-        let tree = estimate_engine(&seq, &res, &m, Wire::Tree, None);
+        let chain = estimate_engine(&seq, &res, &m, Wire::ReferenceChain);
+        let tree = estimate_engine(&seq, &res, &m, Wire::Tree);
         // 2·(P−1) = 14 chain rounds against 2·log₂8 = 6 tree rounds on
         // every reducing phase.
         assert!(chain.t_par > tree.t_par, "{} !> {}", chain.t_par, tree.t_par);
         assert_eq!(tree.t_par, estimate(&seq, &res, &m).t_par);
-    }
-
-    #[test]
-    fn hidden_work_discounts_comm_and_never_goes_negative() {
-        let (seq, res, report) = paper_run(8);
-        let m = TimingModel::default();
-        let plain = estimate_engine(&seq, &res, &m, Wire::Tree, None);
-        let overlapped =
-            estimate_engine(&seq, &res, &m, Wire::Tree, Some(&report.hidden_units));
-        assert!(report.total_hidden() > 0.0);
-        assert!(
-            overlapped.comm < plain.comm,
-            "{} !< {}",
-            overlapped.comm,
-            plain.comm
-        );
-        // Absurdly large hidden credit floors each phase at zero
-        // rather than underflowing.
-        let huge = vec![f64::INFINITY; res.stats.phases.len()];
-        let floored = estimate_engine(&seq, &res, &m, Wire::Tree, Some(&huge));
-        assert_eq!(floored.comm, 0.0);
-        assert!(floored.t_par >= floored.compute_max);
     }
 
     #[test]

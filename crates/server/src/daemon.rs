@@ -7,6 +7,11 @@
 //! much work executes concurrently, so a burst of connections degrades
 //! into `busy` errors rather than unbounded queueing.
 //!
+//! A request line may be at most [`MAX_REQUEST_LINE_BYTES`] long. A
+//! longer line is answered with a `bad-request` error on the `line`
+//! field and the connection is closed, so a client that never sends a
+//! newline cannot grow the daemon's read buffer without bound.
+//!
 //! # Stale sockets
 //!
 //! A daemon that dies without cleanup leaves its socket file behind,
@@ -22,15 +27,20 @@
 //! observes the flag. [`DaemonHandle::stop`] does the same from the
 //! owning process.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::protocol::{self, Request};
+use crate::protocol::{self, BadRequest, Request};
 use crate::service::{self, Service, ServiceConfig};
+
+/// The longest request line the daemon reads, in bytes, excluding the
+/// newline. Far above any real request: a `run` carrying inline DSL
+/// source is a few kilobytes.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// A bound-but-not-yet-serving daemon.
 pub struct Daemon {
@@ -168,10 +178,11 @@ fn handle_connection(
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
             Ok(0) => return,
             Err(e) => {
                 // A torn read (client reset mid-line) ends this
@@ -181,6 +192,21 @@ fn handle_connection(
             }
             Ok(_) => {}
         }
+        if buf.len() > MAX_REQUEST_LINE_BYTES && buf.last() != Some(&b'\n') {
+            let err = BadRequest {
+                field: Some("line".to_string()),
+                detail: format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
+            };
+            let _ = write_line(&mut writer, &err.render());
+            return;
+        }
+        let line = match std::str::from_utf8(&buf) {
+            Ok(line) => line,
+            Err(e) => {
+                service.io_error("read", &std::io::Error::new(ErrorKind::InvalidData, e));
+                return;
+            }
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;

@@ -374,14 +374,31 @@ mod tests {
         let r = parse_request(
             "{\"op\":\"run\",\"program\":\"testiv\",\"mesh\":{\"nx\":10,\"ny\":12,\
              \"perturb\":0.1,\"seed\":7},\"pattern\":\"fig2\",\"p\":8,\
-             \"engine\":\"overlapped\",\"diag\":true}",
+             \"engine\":\"round-robin\",\"diag\":true}",
         )
         .unwrap();
         let Request::Run(r) = r else { panic!("not run") };
         assert_eq!(r.program, ProgramSpec::Builtin("testiv".into()));
         assert_eq!((r.mesh.nx, r.mesh.ny, r.mesh.seed), (10, 12, 7));
         assert_eq!(r.pattern, Pattern::FIG2);
-        assert_eq!((r.p, r.engine, r.diag), (8, Engine::Overlapped, true));
+        assert_eq!((r.p, r.engine, r.diag), (8, Engine::RoundRobin, true));
+    }
+
+    #[test]
+    fn retired_engine_names_are_bad_requests_on_engine() {
+        for retired in ["overlapped", "threaded", "threaded-pooled"] {
+            let line = format!("{{\"op\":\"run\",\"program\":\"x\",\"engine\":\"{retired}\"}}");
+            let err = parse_request(&line).expect_err(&line);
+            assert_eq!(err.field.as_deref(), Some("engine"), "{line}");
+            assert!(
+                err.detail.contains("round-robin|batched"),
+                "detail must list both engines: {}",
+                err.detail
+            );
+            let v = syncplace::obs::json::parse(&err.render()).unwrap();
+            assert_eq!(v.get("code").unwrap().as_str(), Some("bad-request"));
+            assert_eq!(v.get("field").unwrap().as_str(), Some("engine"));
+        }
     }
 
     #[test]
@@ -404,6 +421,8 @@ mod tests {
             "{\"op\":\"run\",\"program\":\"x\",\"source\":\"y\"}",
             "{\"op\":\"run\",\"program\":\"x\",\"p\":0}",
             "{\"op\":\"run\",\"program\":\"x\",\"engine\":\"warp\"}",
+            "{\"op\":\"run\",\"program\":\"x\",\"engine\":\"overlapped\"}",
+            "{\"op\":\"run\",\"program\":\"x\",\"engine\":\"threaded\"}",
             "{\"op\":\"run\",\"program\":\"x\",\"pattern\":\"fig9\"}",
             "{\"op\":\"run\",\"program\":\"x\",\"typo\":1}",
             "{\"op\":\"run\",\"program\":\"x\",\"mesh\":{\"nx\":1}}",

@@ -3,8 +3,8 @@
 # benches, examples) must be clippy-clean with warnings denied, the
 # rustdoc build must be warning-free (crates/core, crates/obs,
 # crates/analyze, crates/runtime and crates/server additionally deny
-# missing_docs at compile time), the unit tests of syncplace-placement
-# and syncplace-server must pass, the repo's own static analysis
+# missing_docs at compile time), the unit tests of syncplace-placement,
+# syncplace-server, syncplace-runtime and syncplace-analyze must pass, the repo's own static analysis
 # (`reproduce lint` — independent placement verifier, CommPlan
 # schedule audit, IR lints) must report no error-severity diagnostics,
 # the E21 profiler must complete a quick run end to end (writing its
@@ -13,7 +13,7 @@
 # preset (--quick: small meshes, P in {4,8}, same code paths — the
 # bitwise parallel-vs-sequential check runs for real), the E25
 # concurrency gate (`reproduce racecheck --quick`: schedule model
-# checking of every engine at P <= 3, happens-before replay of real
+# checking of both engines at P <= 3, happens-before replay of real
 # recorded runs, both mutation suites) must catch every seeded defect
 # with zero false positives, a live `syncplace-serve` daemon must
 # answer `stats` with a well-formed metric exposition (the E23
@@ -23,10 +23,11 @@ set -eu
 cd "$(dirname "$0")/.."
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo clippy --workspace --all-targets -- -D warnings
-# Unit tests of the placement search/extraction/cost modules and of the
-# server protocol; tier-1 (`cargo test` at the root) runs only the
-# root package's integration tests.
-cargo test -q --release -p syncplace-placement -p syncplace-server
+# Unit tests of the placement search/extraction/cost modules, the
+# server protocol, the runtime engines (batched vs round-robin) and the
+# model/happens-before checkers; tier-1 (`cargo test` at the root) runs
+# only the root package's integration tests.
+cargo test -q --release -p syncplace-placement -p syncplace-server -p syncplace-runtime -p syncplace-analyze
 cargo run --release -p syncplace-bench --bin reproduce -- lint --quick
 
 repo_root="$(pwd)"

@@ -67,33 +67,31 @@ fn run_teed(
 
 #[test]
 fn timeline_span_stream_reproduces_trace_aggregates_bit_for_bit() {
-    // Both the spawn-per-run engine and the batched pool engine: the
-    // span table folded from the timeline's span stream must equal the
-    // aggregating recorder's table exactly — same names, same counts,
-    // same total_ns, same max_ns.
-    for (engine, p) in [(Engine::Threaded, 4usize), (Engine::Batched, 4)] {
-        let (trace, timeline) = run_teed(engine, p);
-        assert!(!trace.spans.is_empty(), "{}: no spans recorded", engine.name());
-        assert_eq!(
-            trace.spans,
-            timeline.span_aggregates(),
-            "{}: timeline span fold diverged from trace aggregates",
-            engine.name()
-        );
-        // The phase histogram reads the per-rank event stream: every
-        // rank logs its own in-phase time, so P samples per instance,
-        // and the stream's max can't sit below the span-table max.
-        let agg = &trace.spans[keys::PHASE_SPAN];
-        let hist = timeline.histogram(keys::PHASE_SPAN);
-        assert_eq!(hist.count(), agg.count * p as u64);
-        assert!(hist.max_ns() >= agg.max_ns, "histogram max below span max");
-    }
+    // The batched pool engine: the span table folded from the
+    // timeline's span stream must equal the aggregating recorder's
+    // table exactly — same names, same counts, same total_ns, same
+    // max_ns.
+    let p = 4usize;
+    let (trace, timeline) = run_teed(Engine::Batched, p);
+    assert!(!trace.spans.is_empty(), "no spans recorded");
+    assert_eq!(
+        trace.spans,
+        timeline.span_aggregates(),
+        "timeline span fold diverged from trace aggregates"
+    );
+    // The phase histogram reads the per-rank event stream: every rank
+    // logs its own in-phase time, so P samples per instance, and the
+    // stream's max can't sit below the span-table max.
+    let agg = &trace.spans[keys::PHASE_SPAN];
+    let hist = timeline.histogram(keys::PHASE_SPAN);
+    assert_eq!(hist.count(), agg.count * p as u64);
+    assert!(hist.max_ns() >= agg.max_ns, "histogram max below span max");
 }
 
 #[test]
 fn per_rank_event_streams_are_aligned() {
     let p = 4usize;
-    let (_, timeline) = run_teed(Engine::Threaded, p);
+    let (_, timeline) = run_teed(Engine::Batched, p);
     assert_eq!(timeline.nranks(), p);
 
     // Every rank walks the same placed program, so every rank logs the

@@ -1,5 +1,5 @@
 //! Concurrency verification end-to-end: the schedule model checker
-//! proves the five engines' schedules correct on the paper's Fig. 9 /
+//! proves both engines' schedules correct on the paper's Fig. 9 /
 //! Fig. 10 TESTIV placements at small P, the happens-before checker
 //! replays real recorded runs cleanly, and both catch every seeded
 //! defect with the exact SA code — zero false positives on clean runs.
@@ -93,19 +93,14 @@ fn model_checker_proves_decomposer_gangs() {
 
 #[test]
 fn every_seeded_schedule_defect_is_caught_with_its_exact_code() {
-    // The mutation suite covers every engine family once at P = 3 —
-    // plain (threaded), staged (batched), double-buffered split-phase
-    // (overlapped) and the gang-barrier decomposer model.
+    // The mutation suite covers every schedule model once at P = 3 —
+    // plain (reference), staged with a gang join (batched) and the
+    // gang-barrier decomposer model.
     let plans = fig_plans(3, Pattern::FIG1);
-    let mut programs: Vec<mc::McProgram> = Vec::new();
-    for engine in [
-        EngineKind::Threaded,
-        EngineKind::Pooled,
-        EngineKind::Batched,
-        EngineKind::Overlapped,
-    ] {
-        programs.push(mc::from_plan(&plans[0].1, engine, 2));
-    }
+    let mut programs: Vec<mc::McProgram> = EngineKind::ALL
+        .iter()
+        .map(|&engine| mc::from_plan(&plans[0].1, engine, 2))
+        .collect();
     programs.push(mc::decomp_model(3));
 
     let mut seeded = 0usize;
@@ -195,10 +190,8 @@ fn happens_before_replay_is_clean_on_the_parallel_decomposer() {
 #[test]
 fn every_seeded_log_defect_is_caught_with_its_exact_code() {
     use syncplace::ir::diag::codes;
-    // A batched run has sends, recvs, reads and gang barriers; an
-    // overlapped run adds the stage discipline.
+    // A batched run has sends, recvs, reads and gang barriers.
     let batched = record_run(Engine::Batched, 3, 0);
-    let overlapped = record_run(Engine::Overlapped, 3, 0);
     let decomp_log = {
         let mesh = syncplace::mesh::gen2d::perturbed_grid(17, 17, 0.2, 42);
         let part = syncplace::partition::partition2d(&mesh, 3, Method::GreedyKl);
@@ -228,11 +221,6 @@ fn every_seeded_log_defect_is_caught_with_its_exact_code() {
             "decomposer without its claim barrier",
             hb::drop_first_everywhere(&decomp_log, syncplace::obs::keys::HB_BARRIER),
             codes::HB_RACE,
-        ),
-        (
-            "leaked seed buffer",
-            hb::drop_first(&overlapped, 1, syncplace::obs::keys::HB_STAGE_RELEASE),
-            codes::HB_STAGE_DISCIPLINE,
         ),
     ];
     for (label, mutated, expect) in cases {
